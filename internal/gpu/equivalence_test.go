@@ -2,10 +2,13 @@ package gpu
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpummu/internal/config"
@@ -105,6 +108,18 @@ func TestGoldenStatsSnapshot(t *testing.T) {
 		{"kmeans_augmented", "kmeans", func(c *config.Hardware) {
 			c.MMU = config.AugmentedMMU()
 		}},
+		// Blocking-MMU gated stalls under GTO: the greedy candidate order
+		// depends on lastIssued, which must survive every gated window.
+		{"memcached_naive_gto", "memcached", func(c *config.Hardware) {
+			c.MMU = config.NaiveMMU(4)
+			c.Sched.Policy = config.SchedGTO
+		}},
+		// Blocking-MMU gated stalls with TLB-aware compaction: dynamic
+		// warps, CPM admission and gated TBC flat warps together.
+		{"bfs_tlbtbc_naive", "bfs", func(c *config.Hardware) {
+			c.MMU = config.NaiveMMU(4)
+			c.TBC.Mode = config.DivTLBTBC
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,28 +142,64 @@ func TestGoldenStatsSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", "golden_"+tc.name+".json")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update-golden): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: stats snapshot diverged from golden file %s —\n"+
-					"an optimisation changed simulated timing.\ngot:\n%s\nwant:\n%s",
-					tc.name, path, got, want)
-			}
+			matchGolden(t, "golden_"+tc.name+".json", append(got, '\n'))
 		})
 	}
+}
+
+// matchGolden compares got against testdata/name byte for byte, or rewrites
+// the file under -update-golden. A ".gz" name stores the golden
+// gzip-compressed; the comparison is always on the uncompressed bytes.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	gz := strings.HasSuffix(name, ".gz")
+	if *updateGolden {
+		data := got
+		if gz {
+			var buf bytes.Buffer
+			zw, _ := gzip.NewWriterLevel(&buf, gzip.BestCompression)
+			zw.Write(got)
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data = buf.Bytes()
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if gz {
+		zr, err := gzip.NewReader(bytes.NewReader(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = io.ReadAll(zr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	if len(got) > 1<<16 || len(want) > 1<<16 {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("output diverged from golden file %s at byte %d (got %d bytes, want %d) —\n"+
+			"an optimisation changed simulated timing", path, i, len(got), len(want))
+	}
+	t.Fatalf("output diverged from golden file %s —\n"+
+		"an optimisation changed simulated timing.\ngot:\n%s\nwant:\n%s",
+		path, got, want)
 }
 
 // TestParallelTickEquivalence pins the tentpole guarantee of the two-phase
@@ -177,6 +228,14 @@ func TestParallelTickEquivalence(t *testing.T) {
 		}},
 		{"kmeans_augmented", "kmeans", func(c *config.Hardware) {
 			c.MMU = config.AugmentedMMU()
+		}},
+		{"memcached_naive_gto", "memcached", func(c *config.Hardware) {
+			c.MMU = config.NaiveMMU(4)
+			c.Sched.Policy = config.SchedGTO
+		}},
+		{"bfs_tlbtbc_naive", "bfs", func(c *config.Hardware) {
+			c.MMU = config.NaiveMMU(4)
+			c.TBC.Mode = config.DivTLBTBC
 		}},
 		{"memcached_tcws_shared_16core", "memcached", func(c *config.Hardware) {
 			c.NumCores = 16

@@ -17,12 +17,12 @@ import (
 )
 
 // traceRun runs the tiny bfs workload with a Chrome tracer and sampler
-// attached under the given worker count, returning the raw trace bytes and
-// the run's statistics.
-func traceRun(t *testing.T, workers int) ([]byte, *stats.Sim) {
+// attached under the given MMU and worker count, returning the raw trace
+// bytes and the run's statistics.
+func traceRun(t *testing.T, mmu config.MMU, workers int) ([]byte, *stats.Sim) {
 	t.Helper()
 	cfg := config.SmallTest()
-	cfg.MMU = config.AugmentedMMU()
+	cfg.MMU = mmu
 	w, err := workloads.Build("bfs", workloads.SizeTiny, cfg.PageShift, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func traceRun(t *testing.T, workers int) ([]byte, *stats.Sim) {
 // tracing path: the same workload produces byte-identical, schema-valid
 // Chrome trace JSON for any -par worker count.
 func TestChromeTraceGoldenAcrossPar(t *testing.T) {
-	golden, _ := traceRun(t, 1)
+	golden, _ := traceRun(t, config.AugmentedMMU(), 1)
 
 	var doc struct {
 		TraceEvents []struct {
@@ -85,11 +85,22 @@ func TestChromeTraceGoldenAcrossPar(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 8} {
-		got, _ := traceRun(t, workers)
+		got, _ := traceRun(t, config.AugmentedMMU(), workers)
 		if !bytes.Equal(golden, got) {
 			t.Fatalf("trace bytes differ between workers=1 (%d bytes) and workers=%d (%d bytes)",
 				len(golden), workers, len(got))
 		}
+	}
+}
+
+// TestChromeTraceGoldenNaive pins the blocking-MMU trace against a stored
+// file: every refused issue attempt of a gated core emits an EvIssue, so the
+// trace records the exact cadence at which stalled cores are polled, which
+// the stats snapshots only see in aggregate.
+func TestChromeTraceGoldenNaive(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		got, _ := traceRun(t, config.NaiveMMU(4), workers)
+		matchGolden(t, "chrome_bfs_naive.json.gz", got)
 	}
 }
 
