@@ -48,7 +48,8 @@ func checkTLBCoherence(t *TLB, tr *vm.Translator, label string) error {
 //
 //   - every valid TLB entry agrees with the page table (TLB ⊆ page table);
 //   - the MSHR bookkeeping is consistent — outstanding walks and the pending
-//     merge map track exactly the same set of (vpn, completion) pairs;
+//     merge map track exactly the same set of (vpn, completion) pairs, and
+//     the cached earliest completion is the minimum over outstanding;
 //   - in-flight walk occupancy is bounded. The bound is cfg.MSHRs plus
 //     mshrSlack because MSHR exhaustion delays a new walk's start to the
 //     earliest outstanding completion rather than stalling the requester, so
@@ -69,7 +70,11 @@ func (m *MMU) CheckInvariants(now engine.Cycle, mshrSlack int) error {
 			len(m.outstanding), len(m.pending))
 	}
 	inflight := 0
-	for _, w := range m.outstanding {
+	var least engine.Cycle
+	for i, w := range m.outstanding {
+		if i == 0 || w.done < least {
+			least = w.done
+		}
 		done, ok := m.pending[w.vpn]
 		if !ok {
 			return fmt.Errorf("core: outstanding walk for vpn %#x missing from pending map", w.vpn)
@@ -81,6 +86,10 @@ func (m *MMU) CheckInvariants(now engine.Cycle, mshrSlack int) error {
 		if w.done > now {
 			inflight++
 		}
+	}
+	if len(m.outstanding) > 0 && m.earliest != least {
+		return fmt.Errorf("core: cached earliest walk completion %d but outstanding minimum is %d",
+			m.earliest, least)
 	}
 	if limit := m.cfg.MSHRs + mshrSlack; inflight > limit {
 		return fmt.Errorf("core: %d walks in flight at cycle %d exceeds MSHR bound %d (%d MSHRs + %d slack)",

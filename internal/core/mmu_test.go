@@ -100,6 +100,55 @@ func TestMMUBlockingGate(t *testing.T) {
 	}
 }
 
+// TestMMUEarliestCompletionCache drives several overlapping walks and checks
+// that the cached earliest completion tracks the outstanding minimum as walks
+// start and retire (NextEvent, Occupancy and the audit all agree with a
+// scan), then that the audit catches a corrupted cache.
+func TestMMUEarliestCompletionCache(t *testing.T) {
+	h := newHarness(t, config.NaiveMMU(4), 8)
+	m := h.mmu
+	var dones []engine.Cycle
+	for i, at := range []engine.Cycle{0, 3, 7, 40} {
+		dones = append(dones, m.Lookup(at, req(h.vpn(i)))[0].ReadyAt)
+	}
+	scanMin := func(now engine.Cycle) (least engine.Cycle, busy int) {
+		for _, d := range dones {
+			if d > now {
+				busy++
+				if least == 0 || d < least {
+					least = d
+				}
+			}
+		}
+		return least, busy
+	}
+	for now := engine.Cycle(41); ; now++ {
+		want, busy := scanMin(now)
+		if _, used := m.Occupancy(now); used != busy {
+			t.Fatalf("cycle %d: Occupancy MSHRs = %d, want %d", now, used, busy)
+		}
+		if err := m.CheckInvariants(now, 0); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+		if got := m.NextEvent(now); got != want {
+			t.Fatalf("cycle %d: NextEvent = %d, want %d", now, got, want)
+		}
+		if want == 0 {
+			break
+		}
+	}
+
+	m.Lookup(1000, req(h.vpn(5)))
+	m.Lookup(1001, req(h.vpn(6)))
+	if err := m.CheckInvariants(1001, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.earliest++
+	if err := m.CheckInvariants(1001, 0); err == nil {
+		t.Fatal("audit missed a stale earliest-completion cache")
+	}
+}
+
 func TestMMUHitsUnderMiss(t *testing.T) {
 	cfg := config.NaiveMMU(4)
 	cfg.HitsUnderMiss = true

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gpummu/internal/config"
+	"gpummu/internal/core"
 	"gpummu/internal/engine"
 	"gpummu/internal/kernels"
 	"gpummu/internal/stats"
@@ -130,5 +131,50 @@ func TestExecMemSteadyStateAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(200, runOnce)
 	if avg != 0 {
 		t.Fatalf("warm execMem allocates %.2f objects per instruction, want 0", avg)
+	}
+}
+
+// TestGatedReplayAllocFree pins the blocking-gate fast path: a naive-MMU
+// core whose ready warps all wait at a load behind an outstanding walk
+// records a gated window on a real tick and replays it on the following
+// steps, and neither the recording tick nor the replays allocate — the
+// candidate list is per-core scratch reused across ticks.
+func TestGatedReplayAllocFree(t *testing.T) {
+	cfg := config.SmallTest()
+	cfg.MMU = config.NaiveMMU(4)
+	c, b, data := benchCore(t, cfg, 128) // four warps
+	for _, w := range b.warps {
+		w.stack[0].pc = 4 // every warp waits at the load
+	}
+	c.liveDirty = true
+	// A walk completing far in the future keeps the blocking gate closed.
+	c.mmu.Lookup(1000, []core.PageReq{{VPN: data >> 12}})
+	walkDone := c.mmu.NextEvent(0)
+
+	const replays = 7
+	runOnce := func() {
+		c.tick(10) // every candidate refused: the window is recorded
+		for now := engine.Cycle(11); now <= 10+replays; now++ {
+			c.phaseCompute(now)
+			c.commit(now)
+		}
+	}
+	runOnce()
+	if len(c.gateCands) != len(b.warps) || c.gateAt != 10 || c.gateUntil != walkDone {
+		t.Fatalf("gated window = %d candidates [%d, %d), want %d [10, %d)",
+			len(c.gateCands), c.gateAt, c.gateUntil, len(b.warps), walkDone)
+	}
+	if c.tkKind != tkTicked || c.tkIssued || c.tkEv != walkDone {
+		t.Fatalf("replayed step reported kind=%d issued=%v ev=%d, want a no-issue tick until %d",
+			c.tkKind, c.tkIssued, c.tkEv, walkDone)
+	}
+	before := c.st.ActiveLanes.Count()
+	runOnce()
+	if got, want := c.st.ActiveLanes.Count()-before, uint64((1+replays)*len(b.warps)); got != want {
+		t.Fatalf("one recording tick plus %d replays observed %d issue attempts, want %d", replays, got, want)
+	}
+	avg := testing.AllocsPerRun(200, runOnce)
+	if avg != 0 {
+		t.Fatalf("gated tick and replay allocate %.2f objects per run, want 0", avg)
 	}
 }

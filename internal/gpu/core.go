@@ -52,15 +52,28 @@ type Core struct {
 	// the core's own ticks — so Run skips the full tick and instead emulates
 	// its return value with a cheap warp scan bounded by sleepCap (see
 	// DESIGN.md "Performance model" for the exactness argument). A tick that
-	// was blocked by the MMU memory gate sets wakeAt = now: gated issue
-	// attempts observe per-candidate statistics every cycle the core is
-	// polled, so those ticks must really run. CCWS-family schedulers decay
-	// their locality scores on a wall-clock cadence, which makes their
+	// was blocked by the MMU memory gate sets wakeAt = now, because gated
+	// issue attempts observe per-candidate statistics at every global step
+	// the core is polled; instead of skipping, those steps replay the
+	// recorded attempts until gateUntil (below). CCWS-family schedulers
+	// decay their locality scores on a wall-clock cadence, which makes their
 	// behaviour tick-cadence sensitive — those cores set skippable=false
 	// and are ticked every global step, exactly as before.
 	wakeAt    engine.Cycle
 	sleepCap  engine.Cycle
 	skippable bool
+
+	// Gated replay. A tick that issued nothing because the blocking MMU
+	// gate refused every ready candidate records those candidates, in
+	// scheduler order, in gateCands, and in gateUntil the end of the window
+	// in which they stay frozen: the earlier of the first walk completion
+	// and the first future warp wake-up. Until then phaseCompute re-applies
+	// only each candidate's per-attempt observation (observeIssue) instead
+	// of running maintain/order/step. gateAt is the recording tick.
+	// gateCands is per-core scratch reused across ticks.
+	gateCands []*Warp
+	gateAt    engine.Cycle
+	gateUntil engine.Cycle
 
 	// Per-core scratch buffers, reused across instructions so steady-state
 	// execution performs no heap allocation. Owned by this core only; never
@@ -112,6 +125,7 @@ func newCore(id int, g *GPU) *Core {
 	c.skippable = !(c.sched.ccwsFamily() && cfg.Sched.DecayPeriod > 0)
 	c.scratch.words = (cfg.WarpsPerCore + 63) / 64
 	c.warpBuf = make([]*Warp, 0, cfg.WarpsPerCore)
+	c.gateCands = make([]*Warp, 0, cfg.WarpsPerCore)
 	return c
 }
 
@@ -122,6 +136,8 @@ func (c *Core) reset() {
 	c.nextIssue = 0
 	c.wakeAt = 0
 	c.sleepCap = 0
+	c.gateCands = c.gateCands[:0]
+	c.gateAt, c.gateUntil = 0, 0
 	c.liveDirty = true
 	c.pend = pendMem{}
 	c.pendRetire = nil
@@ -333,6 +349,19 @@ func (c *Core) phaseCompute(now engine.Cycle) {
 		// All warps drained with blocks still live: TBC bookkeeping is
 		// pending, which only a real tick's maintain can run.
 	}
+	if now < c.gateUntil {
+		// Inside a gated window the real tick would refuse the same
+		// candidates in the same order and return the same event, so only
+		// the attempts' observations are replayed. See DESIGN.md
+		// "Performance model" for the exactness argument.
+		for _, w := range c.gateCands {
+			c.observeIssue(now, w)
+		}
+		c.tkKind = tkTicked
+		c.tkIssued = false
+		c.tkEv = c.gateUntil
+		return
+	}
 	issued, ev := c.tickCompute(now)
 	c.tkKind = tkTicked
 	c.tkIssued = issued
@@ -382,6 +411,8 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 	order := c.sched.order(now, warps)
 	issued := 0
 	memGated := false
+	c.gateCands = c.gateCands[:0]
+	c.gateUntil = 0
 	for _, w := range order {
 		if issued >= 1 {
 			break
@@ -392,6 +423,7 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 		ok, gated := c.step(now, w)
 		if gated {
 			memGated = true
+			c.gateCands = append(c.gateCands, w)
 		}
 		if ok {
 			issued++
@@ -416,9 +448,13 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 		if ev := c.mmu.NextEvent(now); ev != 0 && ev < next {
 			next = ev
 		}
-		// Gated issue attempts observe per-candidate statistics, so the
-		// core must really tick at every global step while blocked.
+		// Gated issue attempts observe per-candidate statistics at every
+		// global step while blocked, so the core cannot sleep; it replays
+		// the refused candidates until the walk or warp event at next.
 		c.wakeAt = now
+		if c.skippable {
+			c.gateAt, c.gateUntil = now, next
+		}
 	} else {
 		c.wakeAt, c.sleepCap = next, noEvent
 	}
@@ -443,13 +479,7 @@ func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle)
 // non-memory instructions from other warps proceed).
 func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
 	in := &c.g.launch.Program.Code[w.curPC()]
-	lanes := countLanes(w.curLanes())
-	c.st.ActiveLanes.Observe(lanes)
-	if c.g.tracer != nil {
-		c.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
-			Block: int32(w.block.id), Warp: int16(w.slot),
-			A: uint64(w.curPC()), B: uint64(lanes)})
-	}
+	c.observeIssue(now, w)
 	if in.Kind == kernels.KindLoad || in.Kind == kernels.KindStore {
 		if !c.mmu.CanAcceptMemOp(now) {
 			return false, true
@@ -461,4 +491,18 @@ func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
 	c.execCtrlOrALU(now, w, in)
 	c.st.Instructions.Inc()
 	return true, false
+}
+
+// observeIssue records one issue attempt by warp w at cycle now: the
+// active-lane sample and, when tracing, the EvIssue event. Every attempt
+// observes, including one the blocking MMU gate then refuses, so a gated
+// replay calls it for each recorded candidate exactly as step would.
+func (c *Core) observeIssue(now engine.Cycle, w *Warp) {
+	lanes := w.activeLanes()
+	c.st.ActiveLanes.Observe(lanes)
+	if c.g.tracer != nil {
+		c.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
+			Block: int32(w.block.id), Warp: int16(w.slot),
+			A: uint64(w.curPC()), B: uint64(lanes)})
+	}
 }

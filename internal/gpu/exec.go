@@ -209,10 +209,10 @@ func (c *Core) execBranch(now engine.Cycle, w *Warp, in *kernels.Instr) {
 		top := w.top()
 		top.pc = in.Reconv
 		if pc+1 != in.Reconv {
-			w.stack = append(w.stack, simtEntry{pc: pc + 1, rpc: in.Reconv, lanes: fall})
+			w.stack = append(w.stack, simtEntry{pc: pc + 1, rpc: in.Reconv, lanes: fall, n: int32(nF)})
 		}
 		if in.Target != in.Reconv {
-			w.stack = append(w.stack, simtEntry{pc: in.Target, rpc: in.Reconv, lanes: taken})
+			w.stack = append(w.stack, simtEntry{pc: in.Target, rpc: in.Reconv, lanes: taken, n: int32(nT)})
 		}
 		w.reconverge()
 	}

@@ -45,8 +45,8 @@ type GPU struct {
 	// its front, so the blocks that do run detailed remain an unbiased
 	// sample of the grid even when per-block cost drifts with block id.
 	ffSkip []bool
-	tracer     Tracer
-	shared     *core.SharedTLB // non-nil only with the shared-L2-TLB extension
+	tracer Tracer
+	shared *core.SharedTLB // non-nil only with the shared-L2-TLB extension
 
 	// Invariants enables the debug-build invariant checker: Run audits SIMT
 	// stacks, TLB-vs-page-table coherence, MSHR bookkeeping, and L2 slice
@@ -137,7 +137,7 @@ func (g *GPU) dumpState(now engine.Cycle) string {
 		for _, b := range c.blocks {
 			fmt.Fprintf(&sb, "core %d block %d live=%d:", c.id, b.id, b.liveThreads)
 			for _, w := range b.warps {
-				fmt.Fprintf(&sb, " [slot%d st%d pc%d rdy%d lanes%d]", w.slot, w.state, w.curPC(), w.readyAt, countLanes(w.curLanes()))
+				fmt.Fprintf(&sb, " [slot%d st%d pc%d rdy%d lanes%d]", w.slot, w.state, w.curPC(), w.readyAt, w.activeLanes())
 			}
 			if b.tbc != nil {
 				fmt.Fprintf(&sb, " tbcstack=%d", len(b.tbc.stack))

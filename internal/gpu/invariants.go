@@ -33,7 +33,8 @@ func (g *GPU) checkInvariants(now engine.Cycle) error {
 
 // checkInvariants audits one core: per-block thread accounting, barrier
 // bookkeeping, SIMT stack / TBC warp well-formedness, exclusive thread
-// ownership, and the MMU's TLB-vs-page-table and MSHR consistency.
+// ownership, the recorded gated window, and the MMU's TLB-vs-page-table and
+// MSHR consistency.
 func (c *Core) checkInvariants(now engine.Cycle) error {
 	progLen := int32(len(c.g.launch.Program.Code))
 	for _, b := range c.blocks {
@@ -41,12 +42,34 @@ func (c *Core) checkInvariants(now engine.Cycle) error {
 			return fmt.Errorf("block %d: %w", b.id, err)
 		}
 	}
+	if err := c.checkGateWindow(now); err != nil {
+		return err
+	}
 	// MSHR exhaustion delays a walk's start rather than stalling its warp, so
 	// one batch of misses from every translating warp can be in flight beyond
 	// the configured registers; that batch is structurally capped by the
 	// core's warp slots times the pages a warp instruction can touch.
 	slack := c.g.cfg.WarpsPerCore * c.g.cfg.WarpWidth
 	return c.mmu.CheckInvariants(now, slack)
+}
+
+// checkGateWindow verifies an open gated window: its replay is exact only if
+// every recorded candidate is still a ready warp that was already ready at
+// the recording tick, so no warp can have changed since.
+func (c *Core) checkGateWindow(now engine.Cycle) error {
+	if now >= c.gateUntil {
+		return nil
+	}
+	if c.gateAt > now {
+		return fmt.Errorf("gated window recorded at %d, after cycle %d", c.gateAt, now)
+	}
+	for i, w := range c.gateCands {
+		if w.state != WReady || w.readyAt > c.gateAt {
+			return fmt.Errorf("gated window [%d, %d) candidate %d (slot %d) has state %d readyAt %d",
+				c.gateAt, c.gateUntil, i, w.slot, w.state, w.readyAt)
+		}
+	}
+	return nil
 }
 
 func (c *Core) checkBlock(b *Block, progLen int32) error {
@@ -112,8 +135,9 @@ func warpLaneSets(w *Warp, stackMode bool) [][]int32 {
 }
 
 // checkWarpShape verifies one warp's structural well-formedness: state vs
-// stack emptiness, pc/rpc ranges, and lane contents (valid thread ids, no
-// duplicates within an execution context, no exited threads).
+// stack emptiness, pc/rpc ranges, lane contents (valid thread ids, no
+// duplicates within an execution context, no exited threads), and every
+// cached active-lane count against a fresh count of its lanes.
 func checkWarpShape(b *Block, w *Warp, progLen int32, stackMode bool) error {
 	if stackMode {
 		if (w.state == WDone) != (len(w.stack) == 0) {
@@ -130,12 +154,18 @@ func checkWarpShape(b *Block, w *Warp, progLen int32, stackMode bool) error {
 			if err := checkLanes(b, e.lanes); err != nil {
 				return fmt.Errorf("stack[%d]: %w", ei, err)
 			}
+			if err := checkLaneCount(e.n, e.lanes); err != nil {
+				return fmt.Errorf("stack[%d]: %w", ei, err)
+			}
 		}
 	} else {
 		if w.pc < 0 || w.pc > progLen {
 			return fmt.Errorf("pc %d outside [0, %d]", w.pc, progLen)
 		}
 		if err := checkLanes(b, w.lanes); err != nil {
+			return err
+		}
+		if err := checkLaneCount(w.nLanes, w.lanes); err != nil {
 			return err
 		}
 	}
@@ -161,6 +191,14 @@ func checkLanes(b *Block, lanes []int32) error {
 			return fmt.Errorf("thread %d appears twice in one lane set", tid)
 		}
 		seen[tid] = true
+	}
+	return nil
+}
+
+// checkLaneCount verifies a cached active-lane count (0 = not yet counted).
+func checkLaneCount(cached int32, lanes []int32) error {
+	if n := countLanes(lanes); cached != 0 && int(cached) != n {
+		return fmt.Errorf("cached lane count %d but %d lanes are active", cached, n)
 	}
 	return nil
 }

@@ -147,6 +147,48 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 			t.Fatal("audit missed thread owned by two warps")
 		}
 	})
+	t.Run("stale-lane-count", func(t *testing.T) {
+		g, _, b := blockFixture(t, config.DivStack)
+		e := b.warps[0].top()
+		e.n = int32(countLanes(e.lanes))
+		if err := g.checkInvariants(0); err != nil {
+			t.Fatalf("accurate lane count fails audit: %v", err)
+		}
+		e.n++
+		if err := g.checkInvariants(0); err == nil {
+			t.Fatal("audit missed a stale stack-entry lane count")
+		}
+	})
+	t.Run("stale-tbc-lane-count", func(t *testing.T) {
+		g, _, b := blockFixture(t, config.DivTBC)
+		w := b.warps[0]
+		w.nLanes = int32(countLanes(w.lanes)) - 1
+		if err := g.checkInvariants(0); err == nil {
+			t.Fatal("audit missed a stale flat-warp lane count")
+		}
+	})
+	t.Run("gated-window-candidate", func(t *testing.T) {
+		g, c, b := blockFixture(t, config.DivStack)
+		w := b.warps[0]
+		c.gateCands = append(c.gateCands[:0], w)
+		c.gateAt, c.gateUntil = 10, 50
+		if err := g.checkInvariants(20); err != nil {
+			t.Fatalf("well-formed gated window fails audit: %v", err)
+		}
+		w.readyAt = 15 // became ready after the recording tick
+		if err := g.checkInvariants(20); err == nil {
+			t.Fatal("audit missed a gated candidate not ready at the recording tick")
+		}
+		w.readyAt = 0
+		w.state = WBarrier // parked at a barrier since the recording tick
+		b.barrierCount = 1
+		if err := g.checkInvariants(20); err == nil {
+			t.Fatal("audit missed a gated candidate that is no longer ready")
+		}
+		if err := g.checkInvariants(50); err != nil {
+			t.Fatalf("expired gated window still audited: %v", err)
+		}
+	})
 	t.Run("stale-tlb-entry", func(t *testing.T) {
 		g, c, _ := blockFixture(t, config.DivStack)
 		// Install a translation whose physical base disagrees with the page

@@ -242,12 +242,14 @@ func (t *tbcState) compact(now engine.Cycle, threads []int32, pc int32) []*Warp 
 				continue
 			}
 			w.lanes[lane] = tid
+			w.nLanes++
 			placed = true
 			break
 		}
 		if !placed {
 			w := newWarp()
 			w.lanes[lane] = tid
+			w.nLanes = 1
 		}
 	}
 	for _, w := range warps {
@@ -261,7 +263,7 @@ func (t *tbcState) compact(now engine.Cycle, threads []int32, pc int32) []*Warp 
 		}
 		b.core.st.CompactedWarps.Inc()
 		b.core.emit(Event{Cycle: now, Kind: EvCompact, Core: int16(b.core.id),
-			Block: int32(b.id), Warp: int16(w.slot), A: uint64(pc), B: uint64(countLanes(w.lanes))})
+			Block: int32(b.id), Warp: int16(w.slot), A: uint64(pc), B: uint64(w.nLanes)})
 	}
 	return warps
 }

@@ -26,6 +26,15 @@ type simtEntry struct {
 	pc    int32
 	rpc   int32 // reconvergence pc; -1 for the root entry (never matches)
 	lanes []int32
+	n     int32 // cached active-lane count; 0 = not yet counted
+}
+
+// count returns the entry's active-lane count, counting on first use.
+func (e *simtEntry) count() int {
+	if e.n == 0 {
+		e.n = int32(countLanes(e.lanes))
+	}
+	return int(e.n)
 }
 
 // Warp is the minimum scheduling unit: up to WarpWidth threads executing in
@@ -42,9 +51,10 @@ type Warp struct {
 	stack []simtEntry
 
 	// TBC mode: flat context plus owner entry.
-	pc    int32
-	lanes []int32
-	entry *tbcEntry
+	pc     int32
+	lanes  []int32
+	nLanes int32 // cached active-lane count of lanes; 0 = not yet counted
+	entry  *tbcEntry
 }
 
 // top returns the executing stack entry (stack mode only).
@@ -64,6 +74,20 @@ func (w *Warp) curLanes() []int32 {
 		return w.lanes
 	}
 	return w.top().lanes
+}
+
+// activeLanes returns the active-lane count of the executing context. The
+// count is cached per context and kept current wherever lanes change
+// (divergence push, removeThread, TBC compaction), so issue attempts never
+// rescan the lanes.
+func (w *Warp) activeLanes() int {
+	if w.entry != nil || w.stack == nil {
+		if w.nLanes == 0 {
+			w.nLanes = int32(countLanes(w.lanes))
+		}
+		return int(w.nLanes)
+	}
+	return w.top().count()
 }
 
 // setPC moves the warp to pc and, in stack mode, pops any entries whose
@@ -86,7 +110,7 @@ func (w *Warp) reconverge() {
 			w.stack = w.stack[:len(w.stack)-1]
 			continue
 		}
-		if countLanes(t.lanes) == 0 {
+		if t.count() == 0 {
 			w.stack = w.stack[:len(w.stack)-1]
 			continue
 		}
@@ -100,20 +124,29 @@ func (w *Warp) reconverge() {
 // exit). In stack mode it walks all entries; in TBC mode just the lanes.
 func (w *Warp) removeThread(tid int32) {
 	if w.entry != nil || w.stack == nil {
-		clearLane(w.lanes, tid)
+		if k := clearLane(w.lanes, tid); w.nLanes > 0 {
+			w.nLanes -= k
+		}
 		return
 	}
 	for i := range w.stack {
-		clearLane(w.stack[i].lanes, tid)
+		e := &w.stack[i]
+		if k := clearLane(e.lanes, tid); e.n > 0 {
+			e.n -= k
+		}
 	}
 }
 
-func clearLane(lanes []int32, tid int32) {
+// clearLane empties every lane holding tid and returns how many it cleared.
+func clearLane(lanes []int32, tid int32) int32 {
+	n := int32(0)
 	for i, t := range lanes {
 		if t == tid {
 			lanes[i] = noLane
+			n++
 		}
 	}
+	return n
 }
 
 func countLanes(lanes []int32) int {

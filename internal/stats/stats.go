@@ -201,8 +201,11 @@ type Sim struct {
 	PageDivergence Hist // distinct 4 KB (or 2 MB) translations per warp mem op
 	LineDivergence Hist // distinct cache lines per warp mem op
 
-	// ActiveLanes records active lanes per issued warp instruction; its
-	// mean over the warp width is SIMD utilisation (what TBC improves).
+	// ActiveLanes records the active lanes of every issue attempt, not only
+	// of issued warp instructions: a memory instruction the blocking MMU
+	// gate refuses is observed again at every global step until it issues.
+	// Its mean over the warp width is reported as SIMD utilisation (what
+	// TBC improves).
 	ActiveLanes Hist
 
 	// TLB.
