@@ -298,7 +298,12 @@ figures: [fig2]
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
-	for round, wantSim := range map[string]bool{"fresh": true, "stored": false} {
+	// Rounds run in order: the stored round relies on the fresh one.
+	for _, r := range []struct {
+		round   string
+		wantSim bool
+	}{{"fresh", true}, {"stored", false}} {
+		round, wantSim := r.round, r.wantSim
 		job, err := c.SubmitCampaign([]byte(doc))
 		if err != nil {
 			t.Fatal(err)
