@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -255,5 +257,33 @@ func TestPoolConcurrentAcquire(t *testing.T) {
 	}
 	if s.Builds < 1 || s.Builds > goroutines {
 		t.Fatalf("builds %d out of range [1,%d]", s.Builds, goroutines)
+	}
+}
+
+// TestRestoreUnmapsPostCaptureHeap pins that Restore takes back mappings
+// made after Capture: a VA that Malloc handed out and was written after
+// the capture is unmapped again once the image is restored, at 4 KB and
+// at 2 MB pages, so reading it panics as an unmapped access.
+func TestRestoreUnmapsPostCaptureHeap(t *testing.T) {
+	for _, shift := range []uint{12, 21} {
+		w, err := workloads.Build("bfs", workloads.SizeTiny, shift, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := Capture(w.AS)
+		va := w.AS.Malloc(8)
+		w.AS.Write64(va, 0xFEED)
+		if got := w.AS.Read64(va); got != 0xFEED {
+			t.Fatalf("shift %d: fresh heap reads %#x, want 0xfeed", shift, got)
+		}
+		img.Restore(w.AS)
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "unmapped") {
+					t.Fatalf("shift %d: reading post-capture va %#x after Restore: recovered %v, want an unmapped-access panic", shift, va, r)
+				}
+			}()
+			w.AS.Read64(va)
+		}()
 	}
 }
