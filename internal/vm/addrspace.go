@@ -14,6 +14,14 @@ type AddressSpace struct {
 	brk       uint64 // next unallocated virtual address
 	pageShift uint   // mapping granularity: PageShift4K or PageShift2M
 	mapped    uint64 // bytes of virtual memory mapped
+
+	// The last page translate resolved: its page number + 1 (0 = none) at
+	// granularity 1<<lastShift, and its physical base. Mappings are only
+	// ever added, except by a snapshot restore, which goes through
+	// SetHeapState and clears this.
+	lastKey   uint64
+	lastShift uint
+	lastBase  uint64
 }
 
 // heapBase is where the simulated heap starts; it is far from zero so that
@@ -32,6 +40,7 @@ func NewAddressSpace(mem *PhysMem, alloc *FrameAllocator, pageShift uint) *Addre
 		alloc:     alloc,
 		brk:       heapBase,
 		pageShift: pageShift,
+		lastShift: pageShift, // keeps va>>lastShift+1 nonzero for every va
 	}
 }
 
@@ -77,12 +86,18 @@ func (as *AddressSpace) Malloc(size uint64) uint64 {
 	return base
 }
 
+// translate returns the physical address of va, walking the page table
+// only when va is off the page it translated last.
 func (as *AddressSpace) translate(va uint64) uint64 {
-	pa, ok := as.PT.Translate(va)
-	if !ok {
+	if va>>as.lastShift+1 == as.lastKey {
+		return as.lastBase | va&(1<<as.lastShift-1)
+	}
+	t, err := as.PT.Walk(va)
+	if err != nil {
 		panic(fmt.Sprintf("vm: access to unmapped va %#x", va))
 	}
-	return pa
+	as.lastKey, as.lastShift, as.lastBase = va>>t.PageShift+1, t.PageShift, t.PageBase()
+	return t.PA
 }
 
 // Write64 stores a 64-bit value at virtual address va.

@@ -36,26 +36,28 @@ type physPage struct {
 // on first write; reads of never-written memory return zeroes, matching
 // zero-filled DRAM. All addresses are byte addresses.
 type PhysMem struct {
-	pages map[uint64]*physPage
+	pages pageIndex[*physPage] // by 4 KB frame number
 }
 
 // NewPhysMem returns an empty physical memory.
 func NewPhysMem() *PhysMem {
-	return &PhysMem{pages: make(map[uint64]*physPage)}
+	return &PhysMem{pages: newPageIndex[*physPage]()}
 }
 
 // BackedPages reports how many 4 KB physical pages have been materialised.
-func (m *PhysMem) BackedPages() int { return len(m.pages) }
+func (m *PhysMem) BackedPages() int { return m.pages.count() }
 
 func (m *PhysMem) page(pa uint64, create bool) *physPage {
 	fn := pa >> PageShift4K
-	p := m.pages[fn]
-	if p == nil {
+	var p *physPage
+	if e := m.pages.find(fn); e != nil {
+		p = *e
+	} else {
 		if !create {
 			return nil
 		}
 		p = new(physPage)
-		m.pages[fn] = p
+		m.pages.insert(fn, p)
 	}
 	if create {
 		// create is true exactly on the write paths; a snapshot restore only
@@ -128,8 +130,8 @@ func (m *PhysMem) WriteU8(pa uint64, val byte) {
 
 // PageBytes returns a read-only view of the materialised 4 KB page holding
 // pa, or nil when the page has never been written (its contents read as
-// zeroes). Digest and diff code uses it to hash pages without a map lookup
-// per word; callers must not mutate the returned slice.
+// zeroes). Digest and diff code uses it to hash pages without a page
+// lookup per word; callers must not mutate the returned slice.
 func (m *PhysMem) PageBytes(pa uint64) []byte {
 	p := m.page(pa, false)
 	if p == nil {
@@ -140,7 +142,7 @@ func (m *PhysMem) PageBytes(pa uint64) []byte {
 
 // MutablePageBytes returns a writable view of the materialised 4 KB page
 // holding pa, creating it (and setting its dirty bit) if absent. The
-// functional interpreter caches these slices to avoid a map lookup per
+// functional interpreter caches these slices to avoid a page lookup per
 // access; holders must drop cached slices before any snapshot operation,
 // since writes through a cached slice do not re-set the dirty bit.
 func (m *PhysMem) MutablePageBytes(pa uint64) []byte {

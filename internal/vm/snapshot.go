@@ -18,12 +18,13 @@ type PageImage map[uint64]*[PageSize4K]byte
 // contents clean, so a later RestorePages only rewrites frames written
 // after this call.
 func (m *PhysMem) SnapshotPages() PageImage {
-	img := make(PageImage, len(m.pages))
-	for fn, p := range m.pages {
+	img := make(PageImage, m.pages.count())
+	m.pages.each(func(fn uint64, e **physPage) {
+		p := *e
 		cp := p.data
 		img[fn] = &cp
 		p.dirty = false
-	}
+	})
 	return img
 }
 
@@ -32,19 +33,21 @@ func (m *PhysMem) SnapshotPages() PageImage {
 // restored from the image; frames materialised since the snapshot are
 // discarded (they read as zeroes again, like never-written DRAM). Frames
 // are never unmapped by the simulator, so a clean page is already
-// byte-identical to its image and is skipped.
+// byte-identical to its image and is skipped. Discarding a frame rebuilds
+// the page index from the frames that remain.
 func (m *PhysMem) RestorePages(img PageImage) {
-	for fn, p := range m.pages {
+	m.pages.retain(func(fn uint64, e **physPage) bool {
+		p := *e
 		if !p.dirty {
-			continue
+			return true
 		}
-		if src, ok := img[fn]; ok {
+		src, ok := img[fn]
+		if ok {
 			p.data = *src
 			p.dirty = false
-		} else {
-			delete(m.pages, fn)
 		}
-	}
+		return ok
+	})
 }
 
 // AllocState is a FrameAllocator's mutable state, captured for snapshot
@@ -77,7 +80,10 @@ func (as *AddressSpace) HeapSnapshot() HeapState {
 	return HeapState{Brk: as.brk, Mapped: as.mapped}
 }
 
-// SetHeapState rewinds the heap cursor to a captured state.
+// SetHeapState rewinds the heap cursor to a captured state. The restore
+// that comes with it can unmap pages, so the last-page memo of translate
+// is dropped too.
 func (as *AddressSpace) SetHeapState(s HeapState) {
 	as.brk, as.mapped = s.Brk, s.Mapped
+	as.lastKey = 0
 }

@@ -2,6 +2,18 @@ package vm
 
 import "testing"
 
+// dirtyPages counts the materialised frames whose dirty bit is set. It is
+// the one place these tests look inside PhysMem's page store.
+func dirtyPages(m *PhysMem) int {
+	n := 0
+	m.pages.each(func(_ uint64, p **physPage) {
+		if (*p).dirty {
+			n++
+		}
+	})
+	return n
+}
+
 // TestSnapshotRestoreRewindsWrites pins the dirty-page mechanics: after a
 // snapshot, only written frames are restored, frames materialised later
 // vanish, and the allocator/heap cursors rewind so a Malloc after restore
@@ -19,14 +31,14 @@ func TestSnapshotRestoreRewindsWrites(t *testing.T) {
 	img := mem.SnapshotPages()
 	allocState := alloc.State()
 	heapState := as.HeapSnapshot()
-	pagesAtSnapshot := len(mem.pages)
+	pagesAtSnapshot := mem.BackedPages()
 
 	// Mutate snapshotted pages and grow past the snapshot.
 	as.Write64(base, 0xBAD)
 	as.Write64(base+3*PageSize4K, 0xBAD)
 	extra := as.Malloc(2 * PageSize4K)
 	as.Write64(extra, 0xBAD)
-	if len(mem.pages) <= pagesAtSnapshot {
+	if mem.BackedPages() <= pagesAtSnapshot {
 		t.Fatal("growth did not materialise new pages; test is vacuous")
 	}
 
@@ -39,7 +51,7 @@ func TestSnapshotRestoreRewindsWrites(t *testing.T) {
 			t.Fatalf("page %d: read %#x after restore, want %d", i, got, 100+i)
 		}
 	}
-	if got := len(mem.pages); got > pagesAtSnapshot {
+	if got := mem.BackedPages(); got > pagesAtSnapshot {
 		t.Fatalf("%d pages after restore, want <= %d (post-snapshot pages must be discarded)", got, pagesAtSnapshot)
 	}
 	if got := as.MappedBytes(); got != heapState.Mapped {
@@ -69,18 +81,17 @@ func TestSnapshotCleanPagesSkipped(t *testing.T) {
 	as.Write64(base, 42)
 
 	img := mem.SnapshotPages()
-	for _, p := range mem.pages {
-		if p.dirty {
-			t.Fatal("SnapshotPages left a dirty page behind")
-		}
+	if n := dirtyPages(mem); n != 0 {
+		t.Fatalf("SnapshotPages left %d dirty pages behind", n)
 	}
 
 	as.Write64(base, 43)
+	if n := dirtyPages(mem); n != 1 {
+		t.Fatalf("one write left %d dirty pages, want 1", n)
+	}
 	mem.RestorePages(img)
-	for _, p := range mem.pages {
-		if p.dirty {
-			t.Fatal("RestorePages left a dirty page behind")
-		}
+	if n := dirtyPages(mem); n != 0 {
+		t.Fatalf("RestorePages left %d dirty pages behind", n)
 	}
 	if got := as.Read64(base); got != 42 {
 		t.Fatalf("read %d after restore, want 42", got)
