@@ -16,9 +16,11 @@
 # median and quartiles and how many pairs the working tree won, in the
 # metric's "better" direction, and whether the median gap exceeds the
 # reference's interquartile range. It also reports whether every run
-# printed the same `# digest` line, and exits 1 if any run failed, if a
-# digest the reference prints on every run differs on the working tree, or
-# if the two sides share no digest at all.
+# printed the same `# digest` line, and exits 1 if any run failed, if any
+# end-to-end metric's median on the working tree is worse than the
+# reference's by more than that metric's BENCHMARK.json bound, if a digest
+# the reference prints on every run differs on the working tree, or if the
+# two sides share no digest at all.
 #
 # The timed phase is the run_seconds of BENCHMARK.json. BENCHCMP_DIR names
 # the directory for the exports, build caches and run logs, which is then
@@ -75,11 +77,12 @@ for ((i = 1; i <= pairs; i++)); do
 	echo "# pair $i/$pairs done ($order)" >&2
 done
 
-# One row per end-to-end metric: name, better, then each side's values in
-# pair order (missing runs are skipped pairwise).
-sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound".*/\1 \2/p' BENCHMARK.json |
-	while read -r name better; do
-		printf '%s %s' "$name" "$better"
+# One row per end-to-end metric: name, better, bound, then each side's
+# values in pair order (missing runs are skipped pairwise). The table ends
+# in a non-zero status when a median is worse than its bound allows.
+if ! sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound": *\([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json |
+	while read -r name better bound; do
+		printf '%s %s %s' "$name" "$better" "$bound"
 		for side in ref new; do
 			printf ' |'
 			for ((i = 1; i <= pairs; i++)); do
@@ -98,12 +101,12 @@ sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound".*/\1 \2/p' BE
 		return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
 	}
 	BEGIN {
-		printf "%-16s %-6s %12s %12s %12s | %12s %12s %12s | %5s %7s %s\n",
-			"metric", "better", "ref_q1", "ref_med", "ref_q3", "new_q1", "new_med", "new_q3", "wins", "ratio", "gap>IQR"
+		printf "%-16s %-6s %12s %12s %12s | %12s %12s %12s | %5s %7s %-7s %s\n",
+			"metric", "better", "ref_q1", "ref_med", "ref_q3", "new_q1", "new_med", "new_q3", "wins", "ratio", "gap>IQR", "bound"
 	}
 	{
-		name = $1; better = $2; side = 0
-		for (k = 3; k <= NF; k++) {
+		name = $1; better = $2; bound = $3; side = 0
+		for (k = 4; k <= NF; k++) {
 			if ($k == "|") { side++; idx = 0; continue }
 			idx++
 			if (side == 1) r[idx] = $k; else v[idx] = $k
@@ -121,9 +124,16 @@ sed -n 's/.*"name": *"\([^"]*\)".*"better": *"\([a-z]*\)".*"bound".*/\1 \2/p' BE
 		nq1 = q(B, nb, .25); nm = q(B, nb, .5); nq3 = q(B, nb, .75)
 		gap = nm - rm; if (gap < 0) gap = -gap
 		ratio = rm != 0 ? nm / rm : 0
-		printf "%-16s %-6s %12.6g %12.6g %12.6g | %12.6g %12.6g %12.6g | %2d/%-2d %7.3f %s\n",
-			name, better, rq1, rm, rq3, nq1, nm, nq3, wins, pairsn, ratio, (gap > rq3 - rq1 ? "yes" : "no")
-	}'
+		worse = rm != 0 && ((better == "lower" && ratio > 1 + bound) || (better == "higher" && ratio < 1 - bound))
+		if (worse) regressed++
+		printf "%-16s %-6s %12.6g %12.6g %12.6g | %12.6g %12.6g %12.6g | %2d/%-2d %7.3f %-7s %s\n",
+			name, better, rq1, rm, rq3, nq1, nm, nq3, wins, pairsn, ratio, (gap > rq3 - rq1 ? "yes" : "no"),
+			(worse ? "WORSE>" : "ok<=") bound
+	}
+	END { exit regressed > 0 }'; then
+	echo "# benchcmp: a median is worse than its BENCHMARK.json bound"
+	failed=$((failed + 1))
+fi
 
 # A workload with fixed work prints one digest on every run. One that runs
 # until --seconds have passed (service-mixed stores as many fresh results as
@@ -147,6 +157,6 @@ else
 	failed=$((failed + 1))
 fi
 if ((failed)); then
-	echo "# benchcmp: $failed failed run(s) or digest mismatch" >&2
+	echo "# benchcmp: $failed failed run(s), bound violation or digest mismatch" >&2
 	exit 1
 fi
