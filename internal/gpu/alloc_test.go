@@ -137,8 +137,10 @@ func TestExecMemSteadyStateAllocFree(t *testing.T) {
 // TestGatedReplayAllocFree pins the blocking-gate fast path: a naive-MMU
 // core whose ready warps all wait at a load behind an outstanding walk
 // records a gated window on a real tick and replays it on the following
-// steps, and neither the recording tick nor the replays allocate — the
-// candidate list is per-core scratch reused across ticks.
+// steps, and neither the recording tick, the replays nor the flush allocate
+// — the candidate list is per-core scratch reused across ticks. Replays only
+// count steps; their active-lane samples reach the histogram in one batch
+// when the window is flushed.
 func TestGatedReplayAllocFree(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.MMU = config.NaiveMMU(4)
@@ -152,12 +154,19 @@ func TestGatedReplayAllocFree(t *testing.T) {
 	walkDone := c.mmu.NextEvent(0)
 
 	const replays = 7
-	runOnce := func() {
+	record := func() {
 		c.tick(10) // every candidate refused: the window is recorded
+	}
+	replay := func() {
 		for now := engine.Cycle(11); now <= 10+replays; now++ {
 			c.phaseCompute(now)
 			c.commit(now)
 		}
+	}
+	runOnce := func() {
+		record()
+		replay()
+		c.flushGate()
 	}
 	runOnce()
 	if len(c.gateCands) != len(b.warps) || c.gateAt != 10 || c.gateUntil != walkDone {
@@ -169,12 +178,24 @@ func TestGatedReplayAllocFree(t *testing.T) {
 			c.tkKind, c.tkIssued, c.tkEv, walkDone)
 	}
 	before := c.st.ActiveLanes.Count()
-	runOnce()
+	record()
+	recorded := c.st.ActiveLanes.Count()
+	if got, want := recorded-before, uint64(len(b.warps)); got != want {
+		t.Fatalf("recording tick observed %d issue attempts, want %d", got, want)
+	}
+	replay()
+	if got := c.st.ActiveLanes.Count(); got != recorded {
+		t.Fatalf("%d replays observed %d issue attempts before the flush, want 0 (batched)", replays, got-recorded)
+	}
+	if c.gateSteps != replays {
+		t.Fatalf("gateSteps = %d after %d replays", c.gateSteps, replays)
+	}
+	c.flushGate()
 	if got, want := c.st.ActiveLanes.Count()-before, uint64((1+replays)*len(b.warps)); got != want {
-		t.Fatalf("one recording tick plus %d replays observed %d issue attempts, want %d", replays, got, want)
+		t.Fatalf("one recording tick plus %d flushed replays observed %d issue attempts, want %d", replays, got, want)
 	}
 	avg := testing.AllocsPerRun(200, runOnce)
 	if avg != 0 {
-		t.Fatalf("gated tick and replay allocate %.2f objects per run, want 0", avg)
+		t.Fatalf("gated tick, replay and flush allocate %.2f objects per run, want 0", avg)
 	}
 }

@@ -67,13 +67,15 @@ type Core struct {
 	// gate refused every ready candidate records those candidates, in
 	// scheduler order, in gateCands, and in gateUntil the end of the window
 	// in which they stay frozen: the earlier of the first walk completion
-	// and the first future warp wake-up. Until then phaseCompute re-applies
-	// only each candidate's per-attempt observation (observeIssue) instead
-	// of running maintain/order/step. gateAt is the recording tick.
-	// gateCands is per-core scratch reused across ticks.
+	// and the first future warp wake-up. Until then phaseCompute counts each
+	// replayed step in gateSteps instead of running maintain/order/step;
+	// flushGate later observes every candidate gateSteps times in one
+	// histogram update. gateAt is the recording tick. gateCands is per-core
+	// scratch reused across ticks.
 	gateCands []*Warp
 	gateAt    engine.Cycle
 	gateUntil engine.Cycle
+	gateSteps uint64
 
 	// Per-core scratch buffers, reused across instructions so steady-state
 	// execution performs no heap allocation. Owned by this core only; never
@@ -136,6 +138,7 @@ func (c *Core) reset() {
 	c.nextIssue = 0
 	c.wakeAt = 0
 	c.sleepCap = 0
+	c.flushGate()
 	c.gateCands = c.gateCands[:0]
 	c.gateAt, c.gateUntil = 0, 0
 	c.liveDirty = true
@@ -352,10 +355,15 @@ func (c *Core) phaseCompute(now engine.Cycle) {
 	if now < c.gateUntil {
 		// Inside a gated window the real tick would refuse the same
 		// candidates in the same order and return the same event, so only
-		// the attempts' observations are replayed. See DESIGN.md
-		// "Performance model" for the exactness argument.
-		for _, w := range c.gateCands {
-			c.observeIssue(now, w)
+		// the attempts' observations are replayed: counted here and
+		// flushed in one batch by flushGate, plus each attempt's EvIssue
+		// when tracing. See DESIGN.md "Performance model" for the
+		// exactness argument.
+		c.gateSteps++
+		if c.g.tracer != nil {
+			for _, w := range c.gateCands {
+				c.traceIssue(now, w, w.activeLanes())
+			}
 		}
 		c.tkKind = tkTicked
 		c.tkIssued = false
@@ -373,6 +381,9 @@ func (c *Core) phaseCompute(now engine.Cycle) {
 // must reach shared structures. It reports whether anything issued and the
 // next cycle at which this core has work to do.
 func (c *Core) tickCompute(now engine.Cycle) (issuedAny bool, next engine.Cycle) {
+	if c.gateSteps != 0 { // checked here so the common tick makes no call
+		c.flushGate()
+	}
 	if len(c.blocks) == 0 {
 		return false, noEvent
 	}
@@ -495,14 +506,35 @@ func (c *Core) step(now engine.Cycle, w *Warp) (issued, memGated bool) {
 
 // observeIssue records one issue attempt by warp w at cycle now: the
 // active-lane sample and, when tracing, the EvIssue event. Every attempt
-// observes, including one the blocking MMU gate then refuses, so a gated
-// replay calls it for each recorded candidate exactly as step would.
+// observes, including one the blocking MMU gate then refuses; a gated
+// replay step records the same observations in two halves, the samples
+// through gateSteps and flushGate and the events through traceIssue.
 func (c *Core) observeIssue(now engine.Cycle, w *Warp) {
 	lanes := w.activeLanes()
 	c.st.ActiveLanes.Observe(lanes)
+	c.traceIssue(now, w, lanes)
+}
+
+// traceIssue emits the EvIssue event of one issue attempt when tracing.
+func (c *Core) traceIssue(now engine.Cycle, w *Warp, lanes int) {
 	if c.g.tracer != nil {
 		c.emit(Event{Cycle: now, Kind: EvIssue, Core: int16(c.id),
 			Block: int32(w.block.id), Warp: int16(w.slot),
 			A: uint64(w.curPC()), B: uint64(lanes)})
 	}
+}
+
+// flushGate observes every recorded gated candidate once per replayed step
+// still pending in gateSteps, as one weighted histogram update each. The
+// candidates are frozen for the whole window, so this equals observing them
+// at every step; it must run before anything reads ActiveLanes or changes a
+// candidate: at the next real tick, at the shard merge, and at reset.
+func (c *Core) flushGate() {
+	if c.gateSteps == 0 {
+		return
+	}
+	for _, w := range c.gateCands {
+		c.st.ActiveLanes.ObserveN(w.activeLanes(), c.gateSteps)
+	}
+	c.gateSteps = 0
 }

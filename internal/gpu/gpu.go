@@ -193,9 +193,11 @@ func (g *GPU) Translator() *vm.Translator { return g.tr }
 // sink and clears the shards (so repeated Runs never double-count). Every
 // stats type merges commutatively and exactly, so the totals are
 // byte-identical to what a single shared sink would have accumulated under
-// serial ticking.
+// serial ticking. Pending gated replays are flushed first, so a run cut off
+// inside a gated window still reports every observed issue attempt.
 func (g *GPU) mergeShards() {
 	for i, c := range g.cores {
+		c.flushGate()
 		if g.Metrics != nil {
 			g.collectCoreMetrics(i, c)
 		}

@@ -55,13 +55,24 @@ func (c *Core) checkInvariants(now engine.Cycle) error {
 
 // checkGateWindow verifies an open gated window: its replay is exact only if
 // every recorded candidate is still a ready warp that was already ready at
-// the recording tick, so no warp can have changed since.
+// the recording tick, so no warp can have changed since. Replayed steps wait
+// in gateSteps only while their window is open (the next real tick flushes
+// them), and a window cannot have replayed more steps than cycles have
+// passed since its recording tick.
 func (c *Core) checkGateWindow(now engine.Cycle) error {
 	if now >= c.gateUntil {
+		if c.gateSteps != 0 {
+			return fmt.Errorf("%d gated replays pending with no open window (closed at %d, cycle %d)",
+				c.gateSteps, c.gateUntil, now)
+		}
 		return nil
 	}
 	if c.gateAt > now {
 		return fmt.Errorf("gated window recorded at %d, after cycle %d", c.gateAt, now)
+	}
+	if c.gateSteps > uint64(now-c.gateAt) {
+		return fmt.Errorf("gated window recorded at %d has %d replays pending by cycle %d",
+			c.gateAt, c.gateSteps, now)
 	}
 	for i, w := range c.gateCands {
 		if w.state != WReady || w.readyAt > c.gateAt {

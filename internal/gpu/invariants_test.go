@@ -189,6 +189,31 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 			t.Fatalf("expired gated window still audited: %v", err)
 		}
 	})
+	t.Run("gated-replays-pending", func(t *testing.T) {
+		g, c, b := blockFixture(t, config.DivStack)
+		c.gateCands = append(c.gateCands[:0], b.warps[0])
+		c.gateAt, c.gateUntil = 10, 50
+		c.gateSteps = 10 // one replay at each of cycles 11..20
+		if err := g.checkInvariants(20); err != nil {
+			t.Fatalf("well-formed pending replays fail audit: %v", err)
+		}
+		c.gateSteps = 11
+		if err := g.checkInvariants(20); err == nil {
+			t.Fatal("audit missed more pending replays than cycles since the recording tick")
+		}
+		c.gateSteps = 1
+		if err := g.checkInvariants(50); err == nil {
+			t.Fatal("audit missed replays left pending after the window closed")
+		}
+		c.gateUntil = 0 // no window recorded at all
+		if err := g.checkInvariants(20); err == nil {
+			t.Fatal("audit missed replays pending with no window")
+		}
+		c.gateSteps = 0
+		if err := g.checkInvariants(50); err != nil {
+			t.Fatalf("flushed closed window fails audit: %v", err)
+		}
+	})
 	t.Run("stale-tlb-entry", func(t *testing.T) {
 		g, c, _ := blockFixture(t, config.DivStack)
 		// Install a translation whose physical base disagrees with the page

@@ -71,16 +71,23 @@ type Hist struct {
 }
 
 // Observe records one sample of value v (v >= 0).
-func (h *Hist) Observe(v int) {
+func (h *Hist) Observe(v int) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v (v >= 0) at once: the same state as
+// n calls to Observe(v). n == 0 is a no-op and does not grow the buckets.
+func (h *Hist) ObserveN(v int, n uint64) {
 	if v < 0 {
 		panic("stats: negative histogram sample")
+	}
+	if n == 0 {
+		return
 	}
 	for v >= len(h.buckets) {
 		h.buckets = append(h.buckets, 0)
 	}
-	h.buckets[v]++
-	h.count++
-	h.sum += uint64(v)
+	h.buckets[v] += n
+	h.count += n
+	h.sum += uint64(v) * n
 	if v > h.max {
 		h.max = v
 	}
@@ -204,8 +211,11 @@ type Sim struct {
 	// ActiveLanes records the active lanes of every issue attempt, not only
 	// of issued warp instructions: a memory instruction the blocking MMU
 	// gate refuses is observed again at every global step until it issues.
-	// Its mean over the warp width is reported as SIMD utilisation (what
-	// TBC improves).
+	// Those repeated attempts are counted while the gate stays closed and
+	// added in one batch (Hist.ObserveN) when the window ends, so the
+	// histogram is complete only once a run's shards have merged. Its mean
+	// over the warp width is reported as SIMD utilisation (what TBC
+	// improves).
 	ActiveLanes Hist
 
 	// TLB.

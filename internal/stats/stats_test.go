@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,77 @@ func TestHistNegativePanics(t *testing.T) {
 		}
 	}()
 	h.Observe(-1)
+}
+
+// TestHistObserveN: ObserveN(v, n) leaves the histogram in exactly the state
+// n calls to Observe(v) do — buckets, count, sum, max, mean and the JSON
+// bytes — and n == 0 changes nothing, not even the bucket length goldens
+// depend on.
+func TestHistObserveN(t *testing.T) {
+	cases := []struct {
+		name  string
+		prior []int // samples observed one at a time first
+		v     int
+		n     uint64
+	}{
+		{"empty-zero-n", nil, 5, 0},
+		{"empty-one", nil, 0, 1},
+		{"empty-many", nil, 7, 40},
+		{"grows-buckets", []int{1, 2}, 32, 3},
+		{"below-max", []int{3, 9}, 4, 6},
+		{"zero-n-past-max", []int{3}, 12, 0},
+		{"repeat-max", []int{6}, 6, 1000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var batched, single Hist
+			for _, v := range tc.prior {
+				batched.Observe(v)
+				single.Observe(v)
+			}
+			batched.ObserveN(tc.v, tc.n)
+			for i := uint64(0); i < tc.n; i++ {
+				single.Observe(tc.v)
+			}
+			if len(batched.buckets) != len(single.buckets) {
+				t.Fatalf("bucket length %d, want %d", len(batched.buckets), len(single.buckets))
+			}
+			for v := range single.buckets {
+				if batched.buckets[v] != single.buckets[v] {
+					t.Fatalf("bucket %d = %d, want %d", v, batched.buckets[v], single.buckets[v])
+				}
+			}
+			if batched.count != single.count || batched.sum != single.sum || batched.max != single.max {
+				t.Fatalf("count/sum/max = %d/%d/%d, want %d/%d/%d", batched.count, batched.sum,
+					batched.max, single.count, single.sum, single.max)
+			}
+			if batched.Mean() != single.Mean() {
+				t.Fatalf("mean = %v, want %v", batched.Mean(), single.Mean())
+			}
+			got, err := json.Marshal(batched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(single)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("JSON = %s, want %s", got, want)
+			}
+		})
+	}
+	for _, n := range []uint64{0, 1, 5} {
+		func() {
+			var h Hist
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ObserveN(-1, %d) accepted a negative sample", n)
+				}
+			}()
+			h.ObserveN(-1, n)
+		}()
+	}
 }
 
 // TestHistSumMatchesQuick: the histogram's internal sum and count track

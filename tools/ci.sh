@@ -40,7 +40,9 @@ go test -race -run 'TestReportIdenticalAcrossCoreWorkers' ./internal/experiments
 # schema-valid Chrome trace JSON (tools/tracecheck checks every event) and
 # a CSV series with the expected header. Second: with observability OFF the
 # warm simulation path must still allocate nothing — the AllocsPerRun tests
-# are the contract that the nil-gated obs hooks cost zero when unused.
+# are the contract that the nil-gated obs hooks cost zero when unused — and
+# batched gated replays must still trace one EvIssue per observed issue
+# attempt (TestGatedReplayTraceConsistency).
 echo "== trace schema (gpusim -trace -sample 100 | tracecheck)"
 obs_tmp="$(mktemp -d)"
 svc_pid=""
@@ -54,7 +56,7 @@ if ! head -1 "$obs_tmp/series.csv" | grep -q '^cycle,instructions,'; then
 fi
 
 echo "== zero-alloc warm path with observability off"
-go test -run 'TestExecMemSteadyStateAllocFree|TestGatedReplayAllocFree' ./internal/gpu
+go test -run 'TestExecMemSteadyStateAllocFree|TestGatedReplayAllocFree|TestGatedReplayTraceConsistency' ./internal/gpu
 go test -run 'TestWalkAllocFree|TestTranslatorHitAllocFree|TestPhysMemAccessAllocFree|TestAddressSpaceAccessAllocFree' ./internal/vm
 
 # Campaign gates (DESIGN.md section 13). Every committed example campaign
